@@ -16,7 +16,11 @@
 //! 3. **optionality weakening** — when the subtree below a kept name is
 //!    *satisfiable* rather than *valid*, each kept occurrence becomes
 //!    optional (this reconstructs Appendix B's `substitute((d[p₁])?)` step
-//!    soundly; see DESIGN.md §3 note 6).
+//!    soundly; see DESIGN.md §3 note 6). A kept name that a *sibling*
+//!    condition of the path step could also match is weakened the same
+//!    way: sibling conditions bind distinct children, so the child a
+//!    sibling consumes drops out of the list and the source model's
+//!    cardinality structure (e.g. `(n2, n2)*`) no longer holds.
 //!
 //! Level 0 seeds the list with the document type (made optional when the
 //! whole condition is merely satisfiable — a source document may
@@ -28,7 +32,7 @@ use mix_dtd::{ContentModel, Dtd};
 use mix_relang::ast::Regex;
 use mix_relang::simplify;
 use mix_relang::symbol::{Name, Tag};
-use mix_xmas::{Condition, Query};
+use mix_xmas::{Body, Condition, Query};
 
 /// Projection (Appendix B): keep occurrences of `keep` (any tag, "could
 /// match" semantics) retagged to `tag`; every other name becomes `ε`.
@@ -83,17 +87,24 @@ pub fn infer_list(q: &Query, dtd: &Dtd, tightened: &Tightened) -> Regex {
         Verdict::Satisfiable => Regex::opt(Regex::Sym(dtd.doc_type.tagged(root_cond.tag))),
     };
     // Levels 1..k: extend, project, weaken.
-    for cond in &path[1..] {
+    for (parent, cond) in path.iter().zip(&path[1..]) {
         t = one_level_extension(&t, dtd);
         let viable = tightened.viable_names(cond);
         if viable.is_empty() {
             return Regex::Epsilon;
         }
         t = project(&t, &viable, cond.tag);
+        let siblings: Vec<&Condition> = match &parent.body {
+            Body::Children(conds) => conds.iter().filter(|c| !std::ptr::eq(*c, *cond)).collect(),
+            Body::Text(_) => Vec::new(),
+        };
         let soft: Vec<Name> = viable
             .iter()
             .copied()
-            .filter(|&n| verdict_of(tightened, cond, n) == Verdict::Satisfiable)
+            .filter(|&n| {
+                verdict_of(tightened, cond, n) == Verdict::Satisfiable
+                    || siblings.iter().any(|s| s.test.matches(n))
+            })
             .collect();
         t = weaken(&t, &soft, cond.tag);
         if matches!(t, Regex::Epsilon | Regex::Empty) {
@@ -268,6 +279,26 @@ mod tests {
         let r = parse_regex("a^1, a^2").unwrap();
         let w = super::weaken(&r, &[name("a")], 1);
         assert!(equivalent(&w, &parse_regex("a^1?, a^2").unwrap()));
+    }
+
+    #[test]
+    fn same_tag_sibling_condition_weakens_the_kept_occurrences() {
+        // The sibling condition consumes one n2 of a pair, so a parent can
+        // contribute an odd number of n2: the pair structure must not
+        // survive into the list type.
+        let d =
+            mix_dtd::parse_compact("{<n0 : (n7, n2, n2)*> <n2 : PCDATA> <n7 : PCDATA>}").unwrap();
+        let t = list_type("v = SELECT P WHERE <n0> P:<n2/> <n2>EE</n2> </n0>", &d);
+        assert!(
+            equivalent(&t.image(), &parse_regex("(n2?, n2?)*").unwrap()),
+            "got {t}"
+        );
+        // a sibling with another tag leaves the count alone
+        let t = list_type("v = SELECT P WHERE <n0> P:<n2/> <n7/> </n0>", &d);
+        assert!(
+            equivalent(&t.image(), &parse_regex("(n2, n2)*").unwrap()),
+            "got {t}"
+        );
     }
 
     #[test]

@@ -16,13 +16,12 @@
 //! * **corruptions** ([`Fault::Truncate`], [`Fault::DtdViolate`]) — the
 //!   call *succeeds* but returns a document that no longer validates
 //!   against the advertised DTD, like a site that silently changed its
-//!   schema. These are only caught by a consumer that validates fetches
-//!   (the resilience layer does).
+//!   schema. The default [`Wrapper::answer`] validates what it fetches,
+//!   so these surface as [`SourceError::DtdInvalid`] on every answer.
 
 use crate::error::SourceError;
 use crate::source::Wrapper;
 use mix_dtd::Dtd;
-use mix_xmas::Query;
 use mix_xml::{Content, Document, ElemId, Element};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -115,9 +114,11 @@ fn mix64(x: u64) -> u64 {
 /// A wrapper that injects faults from a [`FaultPlan`] in front of an
 /// inner wrapper.
 ///
-/// Only [`Wrapper::fetch`] is intercepted; `answer` goes through the
-/// default fetch-and-evaluate path, so corruptions flow into answers the
-/// same way they would for a real materializing wrapper.
+/// Only [`Wrapper::fetch`] is intercepted; `answer` is the trait's
+/// default, which re-enters `fetch` and validates what it returns, so
+/// every schedule applies to answers too and a corruption surfaces as
+/// [`SourceError::DtdInvalid`] — in process, or as a `dtd-invalid` fault
+/// from a daemon serving the injector.
 pub struct FaultInjector {
     inner: Arc<dyn Wrapper>,
     plan: FaultPlan,
@@ -223,15 +224,6 @@ impl Wrapper for FaultInjector {
             Some(Fault::Truncate) => Ok(Self::corrupt_truncate(self.inner.fetch()?)),
             Some(Fault::DtdViolate) => Ok(Self::corrupt_violate(self.inner.fetch()?)),
         }
-    }
-
-    // `answer` intentionally not overridden: the default trait
-    // implementation re-enters `fetch`, so every schedule applies to
-    // answers too.
-    fn answer(&self, q: &Query) -> Result<Document, SourceError> {
-        let nq = mix_xmas::normalize(q, self.dtd())?;
-        let doc = self.fetch()?;
-        Ok(mix_xmas::evaluate(&nq, &doc))
     }
 }
 

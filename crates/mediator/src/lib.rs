@@ -13,7 +13,7 @@
 //! The source layer is fallible and fault-tolerant: wrapper calls return
 //! [`SourceError`], the mediator wraps every call in a per-source
 //! resilience layer ([`ResiliencePolicy`]: bounded retries, a circuit
-//! breaker, last-known-good snapshots), union views degrade gracefully to
+//! breaker, last-good answers per query), union views degrade gracefully to
 //! partial answers with a [`DegradationReport`], and the deterministic
 //! seeded [`FaultInjector`] exercises all of it reproducibly.
 //!
@@ -68,7 +68,7 @@ pub use mediator::{Answer, AnswerPath, Mediator, MediatorError, ProcessorConfig,
 pub use obs::{ReplicaInstruments, SourceInstruments};
 pub use resilience::{
     resilient_answer, BreakerGate, BreakerState, DegradationReport, FetchStatus, Health,
-    ResiliencePolicy, SourceOutcome,
+    ResiliencePolicy, SourceOutcome, LAST_GOOD_CAP,
 };
 pub use simplifier::{simplify_query, SimplifyStats};
 pub use source::{LatencyWrapper, RemoteWrapper, Wrapper, XmlSource};

@@ -83,7 +83,7 @@ pub enum MediatorError {
     /// The view/query failed normalization.
     Normalize(NormalizeError),
     /// A single-source view's only source failed (after retries, breaker
-    /// gating, and — when enabled — the stale-snapshot fallback).
+    /// gating, and — when enabled — the last-good-answer fallback).
     Source {
         /// The failed source's registered name.
         source: String,
@@ -162,8 +162,8 @@ pub struct ProcessorConfig {
     pub use_condition_pruning: bool,
     /// Check per-source queries against the source DTD with the
     /// satisfiability analyzer ([`mix_infer::check_sat`]) and skip the
-    /// fetch entirely when the query is provably `Unsat`, synthesizing
-    /// the empty contribution the source would have returned.
+    /// source call entirely when the query is provably `Unsat`,
+    /// synthesizing the empty contribution the source would have returned.
     pub use_sat_pruning: bool,
 }
 
@@ -186,14 +186,14 @@ pub struct Mediator {
     view_order: Vec<Name>,
     config: ProcessorConfig,
     policy: ResiliencePolicy,
-    /// Per-source health (breaker + snapshot), shared across the parallel
-    /// union materialization threads.
+    /// Per-source health (breaker + last-good answers), shared across the
+    /// parallel union materialization threads.
     health: HashMap<String, Arc<Mutex<Health>>>,
     /// The serving layer's inference cache: registration, re-inference on
     /// source replacement, and every `answer_many` worker share it.
     cache: Arc<InferenceCache>,
     /// Memoized satisfiability verdicts — consulted before every
-    /// fetch-shaped call when [`ProcessorConfig::use_sat_pruning`] is on.
+    /// source call when [`ProcessorConfig::use_sat_pruning`] is on.
     sat: mix_infer::SatCache,
     /// The observability registry every layer under this mediator records
     /// into (shared with the cache; see [`Mediator::with_registry`]).
@@ -279,7 +279,7 @@ impl Mediator {
         &self.cache
     }
 
-    /// The satisfiability memo consulted before every fetch-shaped call
+    /// The satisfiability memo consulted before every source call
     /// (exposed so `mixctl explain --sat` can report per-source verdicts
     /// through the same cache the serving paths use).
     pub fn sat_cache(&self) -> &mix_infer::SatCache {
@@ -298,7 +298,7 @@ impl Mediator {
     }
 
     /// Registers a wrapper under a name, with fresh health (breaker
-    /// closed, no snapshot).
+    /// closed, no last-good answers).
     pub fn add_source(&mut self, name: &str, wrapper: Arc<dyn Wrapper>) {
         self.sources.insert(name.to_owned(), wrapper);
         self.health
@@ -315,7 +315,8 @@ impl Mediator {
     }
 
     /// Replaces the resilience policy (retry budget, breaker thresholds,
-    /// stale serving). Existing breaker states and snapshots are kept.
+    /// stale serving). Existing breaker states and last-good answers are
+    /// kept.
     pub fn set_resilience_policy(&mut self, policy: ResiliencePolicy) {
         self.policy = policy;
     }
@@ -441,7 +442,7 @@ impl Mediator {
         }
         self.sources.insert(source.to_owned(), wrapper);
         // a replaced source is a new deployment: breaker closed, failure
-        // history and stale snapshot dropped
+        // history and last-good answers dropped
         self.health
             .insert(source.to_owned(), Arc::new(Mutex::new(Health::new())));
         let mut changed = Vec::new();
@@ -500,9 +501,9 @@ impl Mediator {
     /// every member source fared.
     ///
     /// A single-source view fails ([`MediatorError::Source`]) only when
-    /// its one source fails with no snapshot to degrade to. A union view
-    /// degrades gracefully: as long as at least one member is served
-    /// (fresh or stale) the partial answer is returned, with the
+    /// its one source fails with no last good answer to degrade to. A
+    /// union view degrades gracefully: as long as at least one member is
+    /// served (fresh or stale) the partial answer is returned, with the
     /// [`DegradationReport`] naming each failed source, its last error,
     /// and its breaker state; only when *every* member fails does it
     /// error ([`MediatorError::AllSourcesFailed`]).
@@ -588,7 +589,7 @@ impl Mediator {
     /// resilience layer without assembling them: one
     /// `(Option<Document>, SourceOutcome)` per member, in union
     /// (registration) order, with `None` marking members that failed with
-    /// no snapshot to degrade to.
+    /// no last good answer to degrade to.
     ///
     /// Unlike [`Mediator::materialize_with_report`], an all-members-failed
     /// call is **not** an error here — federation callers (see
@@ -643,25 +644,7 @@ impl Mediator {
             .sources
             .iter()
             .zip(&view.inferred.queries)
-            .map(|(source, q)| {
-                self.instruments.sat_pruned.inc();
-                let breaker = self.health[source]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .state();
-                (
-                    Some(empty_answer(q.view_name)),
-                    SourceOutcome {
-                        source: source.clone(),
-                        status: FetchStatus::Fresh,
-                        retries: 0,
-                        backoff_ms: 0,
-                        error: None,
-                        breaker,
-                        short_circuited: false,
-                    },
-                )
-            })
+            .map(|(source, q)| self.pruned_member(source, q))
             .collect();
         (!members.is_empty()).then_some(members)
     }
@@ -691,11 +674,11 @@ impl Mediator {
                 .sources
                 .get(source)
                 .ok_or_else(|| MediatorError::UnknownSource(source.clone()))?;
-            let health = Arc::clone(&self.health[source]);
-            let obs = Arc::clone(&self.source_obs[source]);
-            if let Some(skipped) = self.sat_skip(source, wrapper.as_ref(), &health, q) {
+            if let Some(skipped) = self.sat_skip(source, wrapper.as_ref(), q) {
                 slots.push(Some(skipped));
             } else {
+                let health = Arc::clone(&self.health[source]);
+                let obs = Arc::clone(&self.source_obs[source]);
                 live.push((
                     slots.len(),
                     (source.as_str(), Arc::clone(wrapper), health, q, obs),
@@ -770,28 +753,32 @@ impl Mediator {
         );
     }
 
-    /// Consults the satisfiability analyzer before a fetch-shaped call:
+    /// Consults the satisfiability analyzer before a source call:
     /// when pruning is enabled and the per-source query is provably
     /// `Unsat` against the source DTD, returns the empty contribution
     /// (and a clean outcome) the source would have produced — without
-    /// contacting it. `Sat` and `Unknown` return `None`: the fetch
+    /// contacting it. `Sat` and `Unknown` return `None`: the call
     /// proceeds exactly as before, which is what keeps pruning sound.
     fn sat_skip(
         &self,
         source: &str,
         wrapper: &dyn Wrapper,
-        health: &Arc<Mutex<Health>>,
         q: &Query,
     ) -> Option<(Option<Document>, SourceOutcome)> {
-        if !self.config.use_sat_pruning || !self.sat.verdict(q, wrapper.dtd()).is_unsat() {
-            return None;
-        }
+        (self.config.use_sat_pruning && self.sat.verdict(q, wrapper.dtd()).is_unsat())
+            .then(|| self.pruned_member(source, q))
+    }
+
+    /// The member a provably-`Unsat` query contributes without contacting
+    /// its source: the empty answer with a clean outcome (counted in
+    /// `sat_pruned_total`).
+    fn pruned_member(&self, source: &str, q: &Query) -> (Option<Document>, SourceOutcome) {
         self.instruments.sat_pruned.inc();
-        let breaker = health
+        let breaker = self.health[source]
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .state();
-        Some((
+        (
             Some(empty_answer(q.view_name)),
             SourceOutcome {
                 source: source.to_owned(),
@@ -802,7 +789,7 @@ impl Mediator {
                 breaker,
                 short_circuited: false,
             },
-        ))
+        )
     }
 
     /// One resilient call to a registered source.
@@ -815,8 +802,7 @@ impl Mediator {
             .sources
             .get(source)
             .ok_or_else(|| MediatorError::UnknownSource(source.to_owned()))?;
-        let health = &self.health[source];
-        if let Some(skipped) = self.sat_skip(source, wrapper.as_ref(), health, q) {
+        if let Some(skipped) = self.sat_skip(source, wrapper.as_ref(), q) {
             return Ok(skipped);
         }
         Ok(resilient_answer(
@@ -824,7 +810,7 @@ impl Mediator {
             wrapper.as_ref(),
             q,
             &self.policy,
-            health,
+            &self.health[source],
             &self.source_obs[source],
         ))
     }
@@ -887,7 +873,7 @@ impl Mediator {
         }
         // 2. composition with the view definition (single-source views).
         //    The composed query ships to the source through the resilience
-        //    layer, so retries, the breaker, and the stale snapshot apply
+        //    layer, so retries, the breaker, and stale serving apply
         //    here exactly as on the materialization path.
         if self.config.use_composition {
             if let AnyView::Single(view) = any {

@@ -1,5 +1,5 @@
-//! Per-source resilience: retries, circuit breakers, last-known-good
-//! snapshots, and the degradation report for partial union answers.
+//! Per-source resilience: retries, circuit breakers, last-good answers,
+//! and the degradation report for partial union answers.
 //!
 //! Everything here is deterministic. Retry backoff is *virtual* — the
 //! would-have-slept milliseconds are recorded in the outcome, never
@@ -10,19 +10,23 @@
 //! seed produces the same [`DegradationReport`] byte for byte, every
 //! time.
 //!
-//! The call path ([`resilient_answer`]) deliberately does *not* trust the
-//! wrapper's own `answer`: it fetches, validates the fetched document
-//! against the advertised DTD (catching silently-corrupted exports as
-//! [`SourceError::DtdInvalid`]), and evaluates the normalized query
-//! locally. That makes validation a property of the mediator's edge, not
-//! of each wrapper's good behavior.
+//! The call path ([`resilient_answer`]) normalizes the query against the
+//! source DTD and pushes the normalized query to the wrapper's own
+//! [`Wrapper::answer`] — the one way the mediator calls a source. The
+//! wrapper validates where its document lives (see the contract on
+//! [`Wrapper`]), so a silently-corrupted export still fails as
+//! [`SourceError::DtdInvalid`], and only the answer — never the whole
+//! document — is copied or shipped. A wrapper that panics is caught here
+//! and becomes an ordinary source fault.
 
 use crate::error::SourceError;
 use crate::obs::SourceInstruments;
 use crate::source::Wrapper;
-use mix_xmas::{evaluate, normalize, Query};
+use mix_xmas::{normalize, Query};
 use mix_xml::Document;
+use std::collections::HashMap;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
 /// Knobs for the per-source resilience machinery.
@@ -38,11 +42,9 @@ pub struct ResiliencePolicy {
     /// Calls rejected while open before the breaker half-opens and lets
     /// one probe through.
     pub cooldown_calls: u32,
-    /// Validate every fetched document against the wrapper's advertised
-    /// DTD; a violation is a [`SourceError::DtdInvalid`] failure.
-    pub validate_fetches: bool,
-    /// On failure, serve the last-known-good snapshot (marked
-    /// [`FetchStatus::Stale`]) instead of failing the member outright.
+    /// On failure, serve the last good answer to the same normalized
+    /// query (marked [`FetchStatus::Stale`]) instead of failing the member
+    /// outright. Last-good answers are only recorded while this is on.
     pub serve_stale: bool,
 }
 
@@ -53,7 +55,6 @@ impl Default for ResiliencePolicy {
             backoff_base_ms: 10,
             failure_threshold: 3,
             cooldown_calls: 2,
-            validate_fetches: true,
             serve_stale: true,
         }
     }
@@ -81,6 +82,12 @@ impl fmt::Display for BreakerState {
     }
 }
 
+/// Distinct normalized queries per source whose last good answer is
+/// kept for stale serving. Reaching the cap wipes the map and rebuilds it
+/// from later answers, so the hit path stays one hash lookup; a wipe
+/// costs stale coverage for queries not seen since, never correctness.
+pub const LAST_GOOD_CAP: usize = 64;
+
 /// Mutable per-source health, shared by every call that targets the
 /// source.
 #[derive(Debug)]
@@ -88,7 +95,9 @@ pub struct Health {
     state: BreakerState,
     consecutive_failures: u32,
     rejected_while_open: u32,
-    snapshot: Option<Document>,
+    /// Last good answer per normalized-query text, at most
+    /// [`LAST_GOOD_CAP`] of them.
+    last_good: HashMap<String, Document>,
 }
 
 /// What the breaker decided for one incoming call — the result of
@@ -110,13 +119,13 @@ pub enum BreakerGate {
 }
 
 impl Health {
-    /// A fresh, closed, snapshot-less health record.
+    /// A fresh, closed health record with no last-good answers.
     pub fn new() -> Health {
         Health {
             state: BreakerState::Closed,
             consecutive_failures: 0,
             rejected_while_open: 0,
-            snapshot: None,
+            last_good: HashMap::new(),
         }
     }
 
@@ -125,9 +134,19 @@ impl Health {
         self.state
     }
 
-    /// Whether a last-known-good snapshot is held.
-    pub fn has_snapshot(&self) -> bool {
-        self.snapshot.is_some()
+    /// How many last-good answers are held (never above
+    /// [`LAST_GOOD_CAP`]).
+    pub fn last_good_answers(&self) -> usize {
+        self.last_good.len()
+    }
+
+    /// Keeps `answer` as the last good answer to the normalized query
+    /// `key`, wiping the map first when it is full.
+    fn remember(&mut self, key: String, answer: Document) {
+        if self.last_good.len() >= LAST_GOOD_CAP && !self.last_good.contains_key(&key) {
+            self.last_good.clear();
+        }
+        self.last_good.insert(key, answer);
     }
 
     /// Source faults recorded since the last success.
@@ -157,15 +176,11 @@ impl Health {
         }
     }
 
-    /// Records a successful call: failure accounting resets, the breaker
-    /// closes, and `snapshot` (when given) replaces the last-known-good
-    /// document. Returns `true` when this closed a previously non-closed
-    /// breaker — the caller's cue to emit its close event.
-    pub fn record_success(&mut self, snapshot: Option<Document>) -> bool {
+    /// Records a successful call: failure accounting resets and the
+    /// breaker closes. Returns `true` when this closed a previously
+    /// non-closed breaker — the caller's cue to emit its close event.
+    pub fn record_success(&mut self) -> bool {
         let reclosed = self.state != BreakerState::Closed;
-        if let Some(doc) = snapshot {
-            self.snapshot = Some(doc);
-        }
         self.consecutive_failures = 0;
         self.rejected_while_open = 0;
         self.state = BreakerState::Closed;
@@ -200,12 +215,13 @@ impl Default for Health {
 /// How a member's data was obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FetchStatus {
-    /// Served from a live, validated fetch.
+    /// Served from a live answer.
     Fresh,
-    /// The live call failed; served from the last-known-good snapshot.
+    /// The live call failed; served from the last good answer to the same
+    /// normalized query.
     Stale,
-    /// The live call failed and no snapshot was available: this member
-    /// contributed nothing.
+    /// The live call failed and no last-good answer to this query was
+    /// held: this member contributed nothing.
     Failed,
 }
 
@@ -313,12 +329,18 @@ impl fmt::Display for DegradationReport {
 }
 
 /// One resilient answer call: breaker check, bounded retry with virtual
-/// backoff, fetch validation, snapshot capture, and stale fallback.
+/// backoff, last-good capture, and stale fallback.
+///
+/// The query is normalized against the source DTD and pushed to
+/// [`Wrapper::answer`]; the wrapper validates its document (see
+/// [`Wrapper`]). A panic inside the wrapper is caught and becomes a
+/// [`SourceError::Unavailable`] source fault, counted by the breaker like
+/// any other.
 ///
 /// Returns the answer document (when status is not [`FetchStatus::Failed`])
 /// plus the outcome record. `source` is only used to label the outcome.
 ///
-/// `obs` records what happened *as it happens*: per-attempt fetch
+/// `obs` records what happened *as it happens*: per-attempt call
 /// latency (histogram + `fetch/<source>` span), retry and
 /// short-circuit counters, served-fresh/stale/failed counters, and an
 /// ordered event for every breaker transition and degraded serve —
@@ -349,21 +371,19 @@ pub fn resilient_answer(
     let nq = match normalize(query, wrapper.dtd()) {
         Ok(nq) => nq,
         Err(e) => {
-            let mut h = health
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut h = lock(health);
             outcome.error = Some(SourceError::Query(e));
             outcome.breaker = h.state;
-            // no normalized form exists, so no snapshot evaluation either
-            return serve_stale_or_fail(&None, &mut h, policy, outcome, obs);
+            // no normalized form exists, so no last-good answer either
+            return serve_stale_or_fail(None, &mut h, outcome, obs);
         }
     };
+    // the last-good key: the normalized query text, as a daemon sees it
+    let key = policy.serve_stale.then(|| nq.to_string());
 
     // Breaker gate.
     {
-        let mut h = health
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut h = lock(health);
         match h.gate(policy.cooldown_calls) {
             BreakerGate::HalfOpened => {
                 obs.breaker_half_opened.inc();
@@ -376,7 +396,7 @@ pub fn resilient_answer(
                 outcome.breaker = h.state;
                 outcome.short_circuited = true;
                 obs.short_circuits.inc();
-                return serve_stale_or_fail(&Some(nq), &mut h, policy, outcome, obs);
+                return serve_stale_or_fail(key.as_deref(), &mut h, outcome, obs);
             }
             BreakerGate::Pass | BreakerGate::Probe => {}
         }
@@ -386,30 +406,29 @@ pub fn resilient_answer(
     // retrying only transient errors. Half-open probes get exactly one
     // attempt — a flapping source must prove itself without the benefit
     // of retries.
-    let probing = health
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .state
-        == BreakerState::HalfOpen;
+    let probing = lock(health).state == BreakerState::HalfOpen;
     let budget = if probing { 0 } else { policy.max_retries };
     let mut last_err: SourceError;
     loop {
         let attempt = {
             let _span = obs.registry().span(obs.fetch_stage());
             let timer = obs.fetch_latency.start();
-            let r = checked_fetch(wrapper, policy);
+            let r = catch_unwind(AssertUnwindSafe(|| wrapper.answer(&nq)))
+                .unwrap_or_else(|panic| Err(panicked(source, panic.as_ref())));
             timer.stop();
             r
         };
         match attempt {
-            Ok(doc) => {
-                let answer = evaluate(&nq, &doc);
-                let mut h = health
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                if h.record_success(Some(doc)) {
+            Ok(answer) => {
+                // copy outside the lock: parallel members share it
+                let last_good = key.map(|k| (k, answer.clone()));
+                let mut h = lock(health);
+                if h.record_success() {
                     obs.breaker_closed.inc();
                     obs.event("breaker-close", "probe succeeded; breaker closed");
+                }
+                if let Some((k, copy)) = last_good {
+                    h.remember(k, copy);
                 }
                 obs.fresh.inc();
                 outcome.status = FetchStatus::Fresh;
@@ -431,10 +450,8 @@ pub fn resilient_answer(
     }
 
     // The call failed for good: account it against the breaker, then
-    // degrade to the snapshot if allowed.
-    let mut h = health
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    // degrade to the last good answer if allowed.
+    let mut h = lock(health);
     if last_err.is_source_fault() && h.record_failure(policy.failure_threshold) {
         obs.breaker_opened.inc();
         obs.event(
@@ -448,48 +465,55 @@ pub fn resilient_answer(
     }
     outcome.error = Some(last_err);
     outcome.breaker = h.state;
-    serve_stale_or_fail(&Some(nq), &mut h, policy, outcome, obs)
+    serve_stale_or_fail(key.as_deref(), &mut h, outcome, obs)
 }
 
-/// Fetch once, optionally validating the document against the wrapper's
-/// advertised DTD.
-fn checked_fetch(
-    wrapper: &dyn Wrapper,
-    policy: &ResiliencePolicy,
-) -> Result<Document, SourceError> {
-    let doc = wrapper.fetch()?;
-    if policy.validate_fetches {
-        mix_dtd::validate_document(wrapper.dtd(), &doc).map_err(|e| SourceError::invalid(&e))?;
-    }
-    Ok(doc)
+fn lock(health: &Mutex<Health>) -> std::sync::MutexGuard<'_, Health> {
+    health
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Degrade to the last-known-good snapshot when policy and state allow,
-/// otherwise report the member failed. Either way the degradation is
-/// recorded as an obs event *now* — at occurrence time — so a live
+/// The source fault a caught wrapper panic becomes. The message carries
+/// the panic's own text when it has one, so it is as deterministic as
+/// the panic.
+fn panicked(source: &str, payload: &(dyn std::any::Any + Send)) -> SourceError {
+    let why = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string payload");
+    SourceError::Unavailable(format!("wrapper for '{source}' panicked: {why}"))
+}
+
+/// Degrade to the last good answer to the normalized query `key` (`None`
+/// when stale serving is off or the query did not normalize) when one is
+/// held, otherwise report the member failed. Either way the degradation
+/// is recorded as an obs event *now* — at occurrence time — so a live
 /// `mixctl stats` sees it even if the eventual [`DegradationReport`] is
 /// dropped by the caller.
 fn serve_stale_or_fail(
-    nq: &Option<Query>,
+    key: Option<&str>,
     h: &mut Health,
-    policy: &ResiliencePolicy,
     mut outcome: SourceOutcome,
     obs: &SourceInstruments,
 ) -> (Option<Document>, SourceOutcome) {
-    if policy.serve_stale {
-        if let (Some(nq), Some(snap)) = (nq, &h.snapshot) {
-            outcome.status = FetchStatus::Stale;
-            obs.stale.inc();
-            obs.event("stale-serve", "serving last-known-good snapshot");
-            return (Some(evaluate(nq, snap)), outcome);
-        }
+    if let Some(last) = key.and_then(|k| h.last_good.get(k)) {
+        // a fresh copy per serve: evaluation deduplicates by element id,
+        // so two served copies must never share auto ids
+        let mut answer = last.clone();
+        answer.refresh_auto_ids();
+        outcome.status = FetchStatus::Stale;
+        obs.stale.inc();
+        obs.event("stale-serve", "serving the last good answer");
+        return (Some(answer), outcome);
     }
     outcome.status = FetchStatus::Failed;
     obs.failed.inc();
     let cause = outcome.error.as_ref().map_or("unknown", |e| e.kind());
     obs.event(
         "source-failed",
-        &format!("no live answer and no snapshot; member failed ({cause})"),
+        &format!("no live answer and no last good one; member failed ({cause})"),
     );
     (None, outcome)
 }
@@ -547,7 +571,7 @@ mod tests {
         assert_eq!(o.breaker, BreakerState::Closed);
         assert_eq!(o.retries, 0);
         assert_eq!(doc.unwrap().root.children().len(), 2);
-        assert!(health.lock().unwrap().has_snapshot());
+        assert_eq!(health.lock().unwrap().last_good_answers(), 1);
     }
 
     #[test]

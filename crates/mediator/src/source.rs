@@ -23,6 +23,17 @@ use mix_xml::{Content, Document, ElemId, Element};
 
 /// Anything that exports XML data typed by a DTD and answers pick-element
 /// queries about it.
+///
+/// The contract of [`Wrapper::answer`]: an answer is computed over a
+/// document valid for [`Wrapper::dtd`]; when the document the wrapper
+/// would answer over violates it, the call fails with
+/// [`SourceError::DtdInvalid`] instead. Validation therefore happens where
+/// the document lives — at load time for [`XmlSource`], per call for
+/// fetch-only wrappers (the default `answer`), and on the daemon's side
+/// for a [`RemoteWrapper`] — and the mediator's resilience layer calls
+/// `answer` alone. The one exception is the streamed pass of a
+/// [`crate::StreamingWrapper`], which takes its byte source's conformance
+/// to the DTD on trust rather than re-reading the stream to check it.
 pub trait Wrapper: Send + Sync {
     /// The DTD of the exported data.
     fn dtd(&self) -> &Dtd;
@@ -31,8 +42,10 @@ pub trait Wrapper: Send + Sync {
     fn fetch(&self) -> Result<Document, SourceError>;
 
     /// Answers a query whose condition is rooted at this source's document
-    /// type. The default implementation evaluates over [`Wrapper::fetch`];
-    /// real wrappers would push the query to the underlying system.
+    /// type. The default implementation validates what [`Wrapper::fetch`]
+    /// returns against [`Wrapper::dtd`] and evaluates over it; wrappers
+    /// holding a validated document, or a system to push the query to,
+    /// override it.
     ///
     /// A query that fails normalization is *rejected* (as
     /// [`SourceError::Query`]) rather than evaluated unnormalized: the
@@ -41,6 +54,7 @@ pub trait Wrapper: Send + Sync {
     fn answer(&self, q: &Query) -> Result<Document, SourceError> {
         let nq = normalize(q, self.dtd())?;
         let doc = self.fetch()?;
+        validate_document(self.dtd(), &doc).map_err(|e| SourceError::invalid(&e))?;
         Ok(evaluate(&nq, &doc))
     }
 
@@ -109,10 +123,17 @@ impl Wrapper for XmlSource {
     fn fetch(&self) -> Result<Document, SourceError> {
         Ok(self.document.clone())
     }
+
+    /// Evaluates by reference over the held document, which
+    /// [`XmlSource::new`] and [`XmlSource::update`] validated.
+    fn answer(&self, q: &Query) -> Result<Document, SourceError> {
+        let nq = normalize(q, &self.dtd)?;
+        Ok(evaluate(&nq, &self.document))
+    }
 }
 
-/// A wrapper decorator that sleeps for a fixed duration on every fetch,
-/// simulating the round-trip latency of a remote source.
+/// A wrapper decorator that sleeps for a fixed duration on every fetch
+/// and every answer, simulating the round-trip latency of a remote source.
 ///
 /// The in-memory [`XmlSource`] answers in microseconds, which makes
 /// single-machine throughput experiments meaningless for a *mediator*:
@@ -126,12 +147,12 @@ pub struct LatencyWrapper<W> {
 }
 
 impl<W: Wrapper> LatencyWrapper<W> {
-    /// Wraps `inner`, adding `latency` to every fetch.
+    /// Wraps `inner`, adding `latency` to every fetch and answer.
     pub fn new(inner: W, latency: std::time::Duration) -> LatencyWrapper<W> {
         LatencyWrapper { inner, latency }
     }
 
-    /// The simulated per-fetch round-trip latency.
+    /// The simulated per-call round-trip latency.
     pub fn latency(&self) -> std::time::Duration {
         self.latency
     }
@@ -151,6 +172,11 @@ impl<W: Wrapper> Wrapper for LatencyWrapper<W> {
         std::thread::sleep(self.latency);
         self.inner.fetch()
     }
+
+    fn answer(&self, q: &Query) -> Result<Document, SourceError> {
+        std::thread::sleep(self.latency);
+        self.inner.answer(q)
+    }
 }
 
 /// A wrapper served by a remote `mixctl serve-source` daemon, reached over
@@ -161,7 +187,10 @@ impl<W: Wrapper> Wrapper for LatencyWrapper<W> {
 /// mediator up front. Queries are normalized *locally* against that DTD
 /// before being sent, so an ill-formed query is rejected with the same
 /// structured [`SourceError::Query`] an in-process wrapper raises, and the
-/// wire only ever carries normalizable queries.
+/// wire only ever carries normalizable queries. The daemon answers with
+/// its own wrapper, so the answer crosses the wire instead of the
+/// document, and a document that violates the DTD comes back as a
+/// `dtd-invalid` fault ([`SourceError::DtdInvalid`]).
 ///
 /// Transport failures (refused connections, deadline expiries, mid-frame
 /// disconnects) and forwarded remote faults all map onto [`SourceError`]

@@ -8,7 +8,7 @@
 //! query processor (simplifier + composition included).
 
 use crate::error::SourceError;
-use crate::mediator::{Mediator, MediatorError};
+use crate::mediator::{Answer, Mediator, MediatorError};
 use crate::source::Wrapper;
 use mix_dtd::Dtd;
 use mix_relang::symbol::Name;
@@ -56,7 +56,37 @@ impl Wrapper for ViewWrapper {
     }
 
     fn answer(&self, q: &Query) -> Result<Document, SourceError> {
-        match self.mediator.query(q) {
+        self.exported(q, self.mediator.query(q))
+    }
+
+    fn answer_batch(&self, queries: &[Query]) -> Vec<Result<Document, SourceError>> {
+        self.mediator
+            .answer_many(queries)
+            .into_iter()
+            .zip(queries)
+            .map(|(r, q)| self.exported(q, r))
+            .collect()
+    }
+}
+
+impl ViewWrapper {
+    /// Turns the lower mediator's answer to `q` into this wrapper's.
+    fn exported(
+        &self,
+        q: &Query,
+        r: Result<Answer, MediatorError>,
+    ) -> Result<Document, SourceError> {
+        match r {
+            // a degraded union answer the view DTD no longer covers breaks
+            // the `Wrapper::answer` contract: report it as the DTD
+            // violation it is, so the upper mediator degrades instead
+            Ok(Answer {
+                degradation: Some(report),
+                ..
+            }) if !report.union_dtd_covers_survivors => Err(SourceError::DtdInvalid(format!(
+                "view '{}': the partial answer is not covered by the view DTD",
+                self.view
+            ))),
             Ok(a) => Ok(a.document),
             // lower-source failures propagate up as source faults of this
             // wrapper, so a stacked mediator's own resilience layer can
@@ -71,23 +101,6 @@ impl Wrapper for ViewWrapper {
                 Ok(mix_xmas::evaluate(q, &doc))
             }
         }
-    }
-
-    fn answer_batch(&self, queries: &[Query]) -> Vec<Result<Document, SourceError>> {
-        self.mediator
-            .answer_many(queries)
-            .into_iter()
-            .zip(queries)
-            .map(|(r, q)| match r {
-                Ok(a) => Ok(a.document),
-                Err(e @ MediatorError::Source { .. })
-                | Err(e @ MediatorError::AllSourcesFailed(_)) => Err(as_source_error(e)),
-                Err(_) => {
-                    let doc = self.fetch()?;
-                    Ok(mix_xmas::evaluate(q, &doc))
-                }
-            })
-            .collect()
     }
 }
 

@@ -10,8 +10,16 @@
 //!
 //! Not every XMAS query is streamable — `!=` constraints need the
 //! in-memory join. The wrapper *falls back* transparently: unsupported
-//! queries materialize the document through [`Wrapper::fetch`] and run
-//! the ordinary evaluator, producing byte-identical answers either way.
+//! queries materialize the document through [`Wrapper::fetch`], validate
+//! it against the DTD, and run the ordinary evaluator, producing
+//! byte-identical answers either way.
+//!
+//! Where validation happens: the streamed pass treats the DTD as a
+//! contract of the byte source (it drives the matcher's pruning) and does
+//! not re-validate the stream, so under a mediator — which calls
+//! [`Wrapper::answer`] — a streaming source is trusted to conform. Only
+//! the materializing fallback validates, since it holds the whole tree
+//! anyway.
 //! Queries the satisfiability analyzer ([`mix_infer::check_sat_memo`])
 //! proves `Unsat` against the source DTD skip both paths: the empty
 //! answer is synthesized without opening the stream at all. All three
@@ -21,7 +29,7 @@
 
 use crate::error::SourceError;
 use crate::source::Wrapper;
-use mix_dtd::Dtd;
+use mix_dtd::{validate_document, Dtd};
 use mix_stream::{stream_answer, CompiledQuery, StreamError, StreamStats};
 use mix_xmas::{evaluate, normalize, Query};
 use mix_xml::{Content, Document, ElemId, Element};
@@ -115,6 +123,7 @@ impl StreamingWrapper {
             Err(unsupported) => {
                 self.fallbacks.inc();
                 let doc = self.fetch()?;
+                validate_document(&self.dtd, &doc).map_err(|e| SourceError::invalid(&e))?;
                 Ok((evaluate(&nq, &doc), ServedBy::Fallback(unsupported)))
             }
         }

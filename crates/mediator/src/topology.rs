@@ -302,10 +302,10 @@ impl Wrapper for DeadReplica {
 /// returns immediately: the query is the caller's fault and every
 /// replica would reject it identically.
 ///
-/// The set holds **no snapshots** of its own: when every replica is
-/// down the last error surfaces, and the outer
+/// The set holds **no last-good answers** of its own: when every replica
+/// is down the last error surfaces, and the outer
 /// [`crate::resilience::resilient_answer`] layer — which sees the
-/// replica set as one source — serves its stale snapshot. That division
+/// replica set as one source — serves its last good answer. That division
 /// implements the tier's contract: stale data only when *all* replicas
 /// of a source are down.
 pub struct ReplicaSet {
@@ -414,7 +414,7 @@ impl ReplicaSet {
                     let reclosed = h
                         .lock()
                         .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .record_success(None);
+                        .record_success();
                     if reclosed {
                         self.obs
                             .event("replica-recover", &format!("replica {i} probe succeeded"));
@@ -503,7 +503,7 @@ impl ReplicaSet {
                         let reclosed = h
                             .lock()
                             .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .record_success(None);
+                            .record_success();
                         if reclosed {
                             self.obs
                                 .event("replica-recover", &format!("replica {i} probe succeeded"));
@@ -1272,9 +1272,10 @@ mod tests {
         assert!(snap.counters[r#"replica_failovers_total{source="site1"}"#] >= 1);
     }
 
-    /// Stale snapshots only when ALL replicas of a source are down: with
+    /// Stale answers only when ALL replicas of a source are down: with
     /// one replica alive the answer is fresh; once both die, the outer
-    /// resilience layer serves its snapshot and marks the member stale.
+    /// resilience layer serves its last good answer and marks the member
+    /// stale.
     #[test]
     fn stale_fallback_engages_only_when_every_replica_is_down() {
         // both replicas: 2 healthy calls, then dead forever
@@ -1307,7 +1308,7 @@ mod tests {
         m.add_source("s", Arc::new(set));
         m.register_union_view("all", &[("s", part_query())])
             .unwrap();
-        // call 1: replica 0 serves fresh (and the outer layer snapshots)
+        // call 1: replica 0 serves fresh (and the outer layer keeps it)
         let (_, r) = m.materialize_with_report(name("all")).unwrap();
         assert_eq!(r.outcomes[0].status, FetchStatus::Fresh);
         // call 2: replica 0's script still serves (position 1)

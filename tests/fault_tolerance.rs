@@ -254,3 +254,134 @@ fn stacked_mediator_survives_lower_level_outage() {
     assert_eq!(report.outcomes[0].status, FetchStatus::Stale);
     assert_eq!(doc.root.children().len(), 2);
 }
+
+/// A wrapper whose every call panics — a bug in a source adapter.
+struct Panicking(Dtd);
+
+impl Wrapper for Panicking {
+    fn dtd(&self) -> &Dtd {
+        &self.0
+    }
+
+    fn fetch(&self) -> Result<Document, SourceError> {
+        panic!("adapter bug")
+    }
+
+    fn answer(&self, _: &Query) -> Result<Document, SourceError> {
+        panic!("adapter bug")
+    }
+}
+
+fn panic_fault(source: &str) -> SourceError {
+    SourceError::Unavailable(format!("wrapper for '{source}' panicked: adapter bug"))
+}
+
+/// A panicking union member is a per-source fault, not a crashed
+/// request: the other members still serve, the report carries a
+/// deterministic error, and the breaker counts it like any fault.
+#[test]
+fn panicking_union_member_is_a_source_fault() {
+    let mut m = Mediator::new();
+    m.add_source(
+        "good",
+        Arc::new(XmlSource::new(site_dtd(), site_doc(0)).unwrap()),
+    );
+    m.add_source("bad", Arc::new(Panicking(site_dtd())));
+    m.register_union_view("u", &[("good", part_query()), ("bad", part_query())])
+        .unwrap();
+    for _ in 0..3 {
+        let (doc, report) = m.materialize_with_report(name("u")).unwrap();
+        assert_eq!(doc.root.children().len(), 2, "the good member serves");
+        assert_eq!(report.outcomes[0].status, FetchStatus::Fresh);
+        assert_eq!(report.outcomes[1].status, FetchStatus::Failed);
+        assert_eq!(report.outcomes[1].error, Some(panic_fault("bad")));
+    }
+    assert_eq!(
+        m.breaker_state("bad"),
+        Some(BreakerState::Open),
+        "three panics trip the default breaker"
+    );
+}
+
+/// The same inside a 2-shard federation: the shard holding the
+/// panicking member still answers its other members, and the global
+/// answer keeps every healthy member.
+#[test]
+fn panicking_member_in_a_two_shard_federation_is_a_source_fault() {
+    let parts: Vec<FederationPart> = (0..6)
+        .map(|i| {
+            let wrapper: Arc<dyn Wrapper> = if i == 2 {
+                Arc::new(Panicking(site_dtd()))
+            } else {
+                Arc::new(XmlSource::new(site_dtd(), site_doc(i)).unwrap())
+            };
+            FederationPart {
+                source: format!("site{i}"),
+                wrapper,
+                query: part_query(),
+            }
+        })
+        .collect();
+    let fed = Federation::build("u", parts, 2, Registry::new()).unwrap();
+    assert_eq!(fed.shards().len(), 2, "six sources span both shards");
+    let (doc, report) = fed.materialize_with_report().unwrap();
+    assert_eq!(
+        doc.root.children().len(),
+        10,
+        "five healthy members, two each"
+    );
+    for (i, o) in report.outcomes.iter().enumerate() {
+        if i == 2 {
+            assert_eq!(o.status, FetchStatus::Failed);
+            assert_eq!(o.error, Some(panic_fault("site2")));
+        } else {
+            assert_eq!(o.status, FetchStatus::Fresh, "{report}");
+        }
+    }
+}
+
+/// A stacked mediator keeps `Wrapper::answer`'s contract: when a lower
+/// union degrades to a partial answer its view DTD no longer covers, the
+/// exported view answers `DtdInvalid` instead of an invalid document.
+#[test]
+fn uncovered_partial_lower_union_is_dtd_invalid_upstairs() {
+    let root_query = || parse_query("low = SELECT X WHERE X:<r/>").unwrap();
+    let mut script = vec![None];
+    script.extend(vec![Some(Fault::Unavailable); 32]);
+    let dying = FaultInjector::new(
+        Arc::new(XmlSource::new(site_dtd(), site_doc(1)).unwrap()),
+        FaultPlan::Script(script),
+    );
+    let no_stale = ResiliencePolicy {
+        serve_stale: false,
+        ..ResiliencePolicy::default()
+    };
+    let mut lower = Mediator::new();
+    lower.set_resilience_policy(no_stale);
+    lower.add_source(
+        "s0",
+        Arc::new(XmlSource::new(site_dtd(), site_doc(0)).unwrap()),
+    );
+    lower.add_source("s1", Arc::new(dying));
+    // each member contributes exactly one <r>: the view DTD says `r, r`
+    lower
+        .register_union_view("low", &[("s0", root_query()), ("s1", root_query())])
+        .unwrap();
+    let lower = Arc::new(lower);
+    let exported = ViewWrapper::new(Arc::clone(&lower), name("low")).unwrap();
+
+    let mut upper = Mediator::new();
+    upper.set_resilience_policy(no_stale);
+    upper.add_source("low", Arc::new(exported));
+    let top = parse_query("top = SELECT X WHERE <low> X:<r/> </low>").unwrap();
+    upper.register_view("low", &top).unwrap();
+    let healthy = upper.materialize(name("top")).unwrap();
+    assert_eq!(healthy.root.children().len(), 2);
+    match upper.materialize(name("top")) {
+        Err(MediatorError::Source {
+            error: SourceError::DtdInvalid(_),
+            ..
+        }) => {}
+        other => panic!("expected a DTD violation upstairs, got {other:?}"),
+    }
+}
