@@ -13,6 +13,7 @@
 use mix::dtd::paper::{d11_department, d1_department, d9_professor, section_recursive};
 use mix::prelude::*;
 use mix::xmas::paper::{q12_papers, q2_with_journals, q3_publist, q6_answer, q7_answer};
+use mix_bench::{chain_workload, wide_chain_workload};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -74,6 +75,19 @@ fn corpus() -> Vec<(&'static str, Dtd, Query)> {
         parse_query("profs = SELECT X WHERE <answer> X:<professor><journal/></professor> </>")
             .unwrap(),
     ));
+    // X18's inference workloads (`benches/intern.rs`): the four-level
+    // section query over the recursive DTD, the 12-level InferList chain
+    // and its 32-wide variant. D11/Q3 is `d11-q3-publist` above.
+    cases.push((
+        "x18-section-recursive-depth4",
+        section_recursive(),
+        parse_query("deep = SELECT P WHERE <section> <section> <section> P:<section/> </> </> </>")
+            .unwrap(),
+    ));
+    let (chain_dtd, chain_q) = chain_workload(12);
+    cases.push(("x18-chain-depth12", chain_dtd, chain_q));
+    let (wide_dtd, wide_q) = wide_chain_workload(12, 32);
+    cases.push(("x18-wide-chain-depth12-width32", wide_dtd, wide_q));
     cases
 }
 
