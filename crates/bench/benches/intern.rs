@@ -1,47 +1,42 @@
-//! X18 — the hash-consed regex pool's payoff on the inference stack.
+//! X18 — the hash-consed regex pool on the inference stack.
 //!
-//! Three questions, one artifact (`BENCH_PR5.json`):
+//! Three questions:
 //!
 //! 1. **Cold inference speed.** `infer_view_dtd` on the deepest paper
 //!    workloads (the recursive `section` DTD of Example 3.5, D11 with Q3,
-//!    and the 12-level InferList chain), memo tables cleared before every
-//!    run, measured twice in the same process: once with the boxed
-//!    baseline (deep `Regex` hashing in the memo keys, Moore
-//!    minimization — the pre-pool seed behavior, reachable via
-//!    [`mix_relang::set_boxed_baseline`]) and once interned (`ReId` keys,
-//!    Hopcroft). Acceptance target: ≥ 2× on the recursive/deep-chain
-//!    workloads.
-//! 2. **Memory.** The memo-table footprint after the cold sweeps in each
-//!    mode, plus the pool's node/byte counters and dedup ratio.
+//!    and the 12-level InferList chain plus its 32-wide variant), memo
+//!    tables cleared before every run. The wide chain is gated by a
+//!    cold-time ceiling of twice its interned cold time in the committed
+//!    `BENCH_PR5.json`, the historical boxed-vs-interned result this
+//!    bench produced while the boxed baseline still existed (there the
+//!    interned path ran the row 2.40× faster than the boxed one). The
+//!    ceiling is read from that file, which this bench never rewrites.
+//! 2. **Memory.** The memo-table footprint after the cold sweeps, plus
+//!    the pool's node/byte counters and dedup ratio.
 //! 3. **Hopcroft.** Per-workload DFA state counts before and after
 //!    minimization, with Moore as the oracle (both compute *the* minimal
 //!    DFA, so their counts must agree exactly).
 //!
-//! Custom harness (not Criterion): like X15–X17, the acceptance criteria
-//! are ratios that must land in a committed artifact, and the
-//! boxed-vs-interned comparison needs explicit mode flips around whole
-//! pipeline runs.
+//! The inferred view DTDs of these workloads are pinned byte for byte
+//! by `tests/golden_corpus.rs` (the `x18-*` and `d11-q3-publist` cases).
+//!
+//! Custom harness (not Criterion): the gate is a ceiling on a best-of-N
+//! cold time, which Criterion has no notion of.
 
-use mix_bench::{chain_workload, q3, wide_chain_workload};
+use mix_bench::{chain_workload, deep_section_query, q3, wide_chain_workload};
 use mix_dtd::paper::{d11_department, section_recursive};
 use mix_dtd::{ContentModel, Dtd};
 use mix_infer::infer_view_dtd;
-use mix_relang::{
-    clear_memo, memo_footprint, pool_stats, set_boxed_baseline, Dfa, MemoFootprint, Nfa,
-};
-use mix_xmas::{parse_query, Query};
+use mix_obs::json::{self, Json};
+use mix_relang::{clear_memo, memo_footprint, pool_stats, Dfa, Nfa};
+use mix_xmas::Query;
 use std::time::{Duration, Instant};
 
 const COLD_REPS: usize = 25;
 const WARM_REPS: usize = 200;
 
-/// The nested-section query over the recursive DTD of Example 3.5: the
-/// pick path descends four `section` levels, so tightening re-derives the
-/// recursive content model at every depth.
-fn deep_section_query() -> Query {
-    parse_query("deep = SELECT P WHERE <section> <section> <section> P:<section/> </> </> </>")
-        .expect("deep section query parses")
-}
+/// The workload whose interned cold time is gated.
+const GATED: &str = "wide_chain_depth12_width32";
 
 fn workloads() -> Vec<(&'static str, Dtd, Query)> {
     let (chain_dtd, chain_q) = chain_workload(12);
@@ -54,8 +49,28 @@ fn workloads() -> Vec<(&'static str, Dtd, Query)> {
         ),
         ("d11_q3", d11_department(), q3()),
         ("chain_depth12", chain_dtd, chain_q),
-        ("wide_chain_depth12_width32", wide_dtd, wide_q),
+        (GATED, wide_dtd, wide_q),
     ]
+}
+
+/// The gated row's cold-time ceiling in ms: twice its `interned_cold_ms`
+/// in `BENCH_PR5.json`, rounded down to the microsecond.
+fn cold_ceiling_ms() -> f64 {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR5.json");
+    let text = std::fs::read_to_string(path).expect("read BENCH_PR5.json");
+    let doc = json::parse(&text).expect("BENCH_PR5.json parses");
+    let row = doc
+        .get("workloads")
+        .and_then(Json::as_arr)
+        .and_then(|rows| {
+            rows.iter()
+                .find(|r| r.get("workload").and_then(Json::as_str) == Some(GATED))
+        })
+        .expect("BENCH_PR5.json has the gated workload");
+    let Some(&Json::Float(base_ms)) = row.get("interned_cold_ms") else {
+        panic!("BENCH_PR5.json: {GATED} has no interned_cold_ms");
+    };
+    (2.0 * base_ms * 1e3).floor() / 1e3
 }
 
 /// Best-of-`reps` duration of one memo-cold `infer_view_dtd` run.
@@ -114,106 +129,27 @@ fn dfa_state_counts(q: &Query, d: &Dtd) -> (usize, usize, usize) {
     (raw, hopcroft, moore)
 }
 
-struct Row {
-    name: &'static str,
-    boxed_cold: Duration,
-    interned_cold: Duration,
-    interned_warm: Duration,
-    raw_states: usize,
-    min_states: usize,
-}
-
-fn footprint_json(f: &MemoFootprint) -> String {
-    format!(
-        "{{ \"dfa_entries\": {}, \"dfa_states\": {}, \"dfa_bytes\": {}, \
-         \"inclusion_entries\": {} }}",
-        f.dfa_entries, f.dfa_states, f.dfa_bytes, f.inclusion_entries
-    )
-}
-
 fn main() {
-    let ws = workloads();
-
-    // Both modes must produce byte-identical inferences — the tentpole's
-    // central invariant, asserted here on the full pipeline before any
-    // timing is trusted. Compare the ordered type entries (the Debug of
-    // the whole map includes a by-name index whose HashMap order is
-    // nondeterministic).
-    for (name, d, q) in &ws {
-        set_boxed_baseline(true);
-        let boxed = infer_view_dtd(q, d).expect("boxed infers");
-        set_boxed_baseline(false);
-        let interned = infer_view_dtd(q, d).expect("interned infers");
-        let stypes = |iv: &mix_infer::InferredView| {
-            iv.sdtd
-                .types
-                .iter()
-                .map(|(s, m)| format!("{s:?}: {m:?}"))
-                .collect::<Vec<_>>()
-        };
-        let types = |iv: &mix_infer::InferredView| {
-            iv.dtd
-                .types
-                .iter()
-                .map(|(n, m)| format!("{n:?}: {m:?}"))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(
-            stypes(&boxed),
-            stypes(&interned),
-            "{name}: boxed and interned s-DTDs diverge"
-        );
-        assert_eq!(
-            types(&boxed),
-            types(&interned),
-            "{name}: boxed and interned merged DTDs diverge"
-        );
-    }
-
-    println!("X18 cold/warm inference, boxed baseline vs interned pool:");
-    let mut rows = Vec::new();
-    let mut boxed_fp_total = 0usize;
-    let mut interned_fp_total = 0usize;
-    let mut boxed_fp = MemoFootprint::default();
-    let mut interned_fp = MemoFootprint::default();
-    for (name, d, q) in &ws {
-        // boxed first: its legacy tables are the only ones populated, so
-        // the footprint snapshot is attributable
-        set_boxed_baseline(true);
-        let boxed_cold = measure_cold(q, d, COLD_REPS);
-        let _ = infer_view_dtd(q, d).expect("boxed footprint run");
-        let bf = memo_footprint();
-        boxed_fp_total += bf.dfa_bytes;
-        boxed_fp = bf;
-
-        set_boxed_baseline(false);
-        let interned_cold = measure_cold(q, d, COLD_REPS);
-        let interned_warm = measure_warm(q, d, WARM_REPS);
-        let inf = memo_footprint();
-        interned_fp_total += inf.dfa_bytes;
-        interned_fp = inf;
-
+    let ceiling_ms = cold_ceiling_ms();
+    println!("X18 cold/warm inference over the interned pool:");
+    let mut gated_cold_ms = None;
+    for (name, d, q) in &workloads() {
+        let cold = measure_cold(q, d, COLD_REPS);
+        let warm = measure_warm(q, d, WARM_REPS);
         let (raw, hopcroft, moore) = dfa_state_counts(q, d);
         assert_eq!(
             hopcroft, moore,
             "{name}: Hopcroft and Moore disagree on the minimal DFA size"
         );
-        let speedup = boxed_cold.as_secs_f64() / interned_cold.as_secs_f64().max(1e-12);
+        let cold_ms = cold.as_secs_f64() * 1e3;
         println!(
-            "  {name}: boxed cold {:.3} ms, interned cold {:.3} ms ({speedup:.2}x), \
-             interned warm {:.4} ms; DFA states {raw} -> {hopcroft} (Hopcroft = Moore)",
-            boxed_cold.as_secs_f64() * 1e3,
-            interned_cold.as_secs_f64() * 1e3,
-            interned_warm.as_secs_f64() * 1e3,
+            "  {name}: cold {cold_ms:.3} ms, warm {:.4} ms; \
+             DFA states {raw} -> {hopcroft} (Hopcroft = Moore)",
+            warm.as_secs_f64() * 1e3,
         );
-        rows.push(Row {
-            name,
-            boxed_cold,
-            interned_cold,
-            interned_warm,
-            raw_states: raw,
-            min_states: hopcroft,
-        });
+        if *name == GATED {
+            gated_cold_ms = Some(cold_ms);
+        }
     }
 
     let ps = pool_stats();
@@ -225,63 +161,17 @@ fn main() {
         ps.intern_hits,
         ps.intern_misses
     );
+    let fp = memo_footprint();
     println!(
-        "  memo footprint (last workload): boxed {} B vs interned {} B",
-        boxed_fp.dfa_bytes, interned_fp.dfa_bytes
+        "  memo footprint (last workload): {} DFAs, {} states, {} B; {} inclusion results",
+        fp.dfa_entries, fp.dfa_states, fp.dfa_bytes, fp.inclusion_entries
     );
 
-    // Smoke-level sanity: on at least one recursive/deep-chain workload
-    // the interned cold path must be decisively faster. The committed
-    // artifact carries the full measured ratios; this assert only guards
-    // against regressions that erase the win entirely.
-    let best_speedup = rows
-        .iter()
-        .map(|r| r.boxed_cold.as_secs_f64() / r.interned_cold.as_secs_f64().max(1e-12))
-        .fold(0.0f64, f64::max);
+    let gated_cold_ms = gated_cold_ms.expect("the gated workload ran");
     assert!(
-        best_speedup >= 1.2,
-        "interning no longer pays for itself: best cold speedup {best_speedup:.2}x"
+        gated_cold_ms <= ceiling_ms,
+        "{GATED}: interned cold {gated_cold_ms:.3} ms exceeds the {ceiling_ms:.3} ms \
+         ceiling (2x BENCH_PR5.json's interned_cold_ms)"
     );
-
-    let row_json = rows
-        .iter()
-        .map(|r| {
-            let speedup = r.boxed_cold.as_secs_f64() / r.interned_cold.as_secs_f64().max(1e-12);
-            format!(
-                "      {{ \"workload\": \"{}\", \"boxed_cold_ms\": {:.4}, \
-                 \"interned_cold_ms\": {:.4}, \"cold_speedup\": {:.2}, \
-                 \"interned_warm_ms\": {:.4}, \"dfa_states_subset\": {}, \
-                 \"dfa_states_hopcroft\": {} }}",
-                r.name,
-                r.boxed_cold.as_secs_f64() * 1e3,
-                r.interned_cold.as_secs_f64() * 1e3,
-                speedup,
-                r.interned_warm.as_secs_f64() * 1e3,
-                r.raw_states,
-                r.min_states
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        "{{\n  \"experiment\": \"X18\",\n  \
-         \"generated_by\": \"cargo bench -p mix-bench --bench intern\",\n  \
-         \"cold_speedup_target\": 2.0,\n  \
-         \"workloads\": [\n{row_json}\n    ],\n  \
-         \"memo_footprint\": {{\n    \"boxed_dfa_bytes_total\": {boxed_fp_total},\n    \
-         \"interned_dfa_bytes_total\": {interned_fp_total},\n    \
-         \"last_boxed\": {},\n    \"last_interned\": {}\n  }},\n  \
-         \"pool\": {{ \"nodes\": {}, \"bytes\": {}, \"intern_hits\": {}, \
-         \"intern_misses\": {}, \"dedup_ratio\": {:.4} }}\n}}",
-        footprint_json(&boxed_fp),
-        footprint_json(&interned_fp),
-        ps.nodes,
-        ps.bytes,
-        ps.intern_hits,
-        ps.intern_misses,
-        ps.dedup_ratio()
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR5.json");
-    std::fs::write(out, json + "\n").expect("write BENCH_PR5.json");
-    println!("wrote {out}");
+    println!("  {GATED}: cold {gated_cold_ms:.3} ms <= ceiling {ceiling_ms:.3} ms");
 }

@@ -114,6 +114,15 @@ pub fn documents_for(dtd: &Dtd, count: usize, seed: u64, max_nodes: usize) -> Ve
     (0..count).map(|_| sampler.sample(&mut rng)).collect()
 }
 
+/// The nested-section query over the recursive DTD of Example 3.5
+/// (`mix_dtd::paper::section_recursive`): the pick path descends four
+/// `section` levels, so tightening re-derives the recursive content model
+/// at every depth.
+pub fn deep_section_query() -> Query {
+    parse_query("deep = SELECT P WHERE <section> <section> <section> P:<section/> </> </> </>")
+        .expect("deep section query parses")
+}
+
 /// A deep chain DTD (`c0 : c1+ … c{k-1} : ck+, ck : PCDATA`) and a query
 /// whose pick path descends all `k` levels — the InferList depth workload.
 pub fn chain_workload(depth: usize) -> (Dtd, Query) {

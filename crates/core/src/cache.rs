@@ -5,7 +5,8 @@
 //! (query, DTD) pairs recur constantly; the full pipeline (normalize →
 //! tighten → infer-list → collapse → merge) is pure in its inputs, which
 //! makes its results safely shareable. The fingerprint is built from
-//! [`Name::stable_hash`]/[`Sym::stable_hash`] — process-independent
+//! [`Name::stable_hash`](mix_relang::symbol::Name::stable_hash)/
+//! [`Sym::stable_hash`](mix_relang::symbol::Sym::stable_hash) — process-independent
 //! content hashes precomputed at intern time — so computing a key costs a
 //! structural walk with one table lookup per name, no string re-hashing.
 //!

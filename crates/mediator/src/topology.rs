@@ -194,7 +194,7 @@ fn ring_hash(bytes: &[u8]) -> u64 {
 
 /// A consistent-hash ring mapping source names onto node indices.
 ///
-/// Each node contributes [`VNODES_PER_NODE`] virtual points; a key lands
+/// Each node contributes `VNODES_PER_NODE` (64) virtual points; a key lands
 /// on the node owning the first point at or after the key's hash
 /// (wrapping). Growing the ring from N to N+1 nodes only reassigns the
 /// keys that land on the new node's points — every other source keeps

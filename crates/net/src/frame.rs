@@ -347,6 +347,131 @@ mod tests {
         }
     }
 
+    /// A tiny deterministic xorshift64 stream, so the decoding fuzz tests
+    /// below need no dependency and replay identically on every run.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+    }
+
+    /// Runs every reader over `bytes`. Each must return `Ok` or a wire
+    /// error the transport itself produces (never `Remote`/`Throttled`,
+    /// which only a decoded message can carry); a panic fails the test.
+    /// Returns whether `read_frame` succeeded.
+    fn decode_all_ways(bytes: &[u8]) -> bool {
+        let transport = |e: &NetError| {
+            matches!(
+                e,
+                NetError::Io(_) | NetError::Protocol(_) | NetError::VersionMismatch { .. }
+            )
+        };
+        if let Some(header) = bytes.first_chunk::<HEADER_LEN>() {
+            match decode_header(header) {
+                Ok(h) => {
+                    assert_eq!(h.ty as u8, bytes[1]);
+                    assert!(h.len <= MAX_PAYLOAD);
+                }
+                Err(e) => assert!(transport(&e), "{e:?}"),
+            }
+        }
+        let framed = match read_frame(&mut Cursor::new(bytes)) {
+            Ok((ty, _, payload)) => {
+                assert_eq!(ty as u8, bytes[1]);
+                assert_eq!(payload, &bytes[HEADER_LEN..HEADER_LEN + payload.len()]);
+                true
+            }
+            Err(e) => {
+                assert!(transport(&e), "{e:?}");
+                false
+            }
+        };
+        match read_first_frame(&mut Cursor::new(bytes)) {
+            Ok(_) => assert!(
+                framed,
+                "first-frame reader accepted what read_frame refused"
+            ),
+            Err(e) => assert!(transport(&e), "{e:?}"),
+        }
+        match crate::msg::Msg::read_from(&mut Cursor::new(bytes)) {
+            Ok((_, m)) => assert_eq!(m.msg_type() as u8, bytes[1]),
+            Err(e) => assert!(transport(&e), "{e:?}"),
+        }
+        framed
+    }
+
+    #[test]
+    fn random_bytes_decode_to_a_frame_or_a_net_error() {
+        let mut rng = XorShift(0x9e37_79b9_7f4a_7c15);
+        let mut decoded = 0;
+        // the type byte walks all 256 values several times: the seven
+        // MsgType bytes (0..=6) and every unassigned byte (7..=255)
+        for case in 0..4096u32 {
+            let len = (rng.next() % 64) as usize;
+            let mut bytes: Vec<u8> = (0..len.max(2)).map(|_| rng.next() as u8).collect();
+            // most cases carry a valid version byte and a small announced
+            // length, so they get past the header checks into the payload
+            if !rng.next().is_multiple_of(4) {
+                bytes[0] = FRAME_VERSION;
+            }
+            bytes[1] = case as u8;
+            if bytes.len() >= HEADER_LEN && !rng.next().is_multiple_of(4) {
+                let announced = (rng.next() % 64) as u32;
+                bytes[6..10].copy_from_slice(&announced.to_be_bytes());
+            }
+            if decode_all_ways(&bytes) {
+                decoded += 1;
+            }
+        }
+        // the generator must reach the success path, not only errors
+        assert!(decoded > 0);
+    }
+
+    #[test]
+    fn every_truncation_of_a_valid_frame_is_a_transport_error() {
+        use crate::msg::Msg;
+        let msgs = [
+            Msg::Hello,
+            Msg::ExportDtd("{<r : a*> <a : PCDATA>}".into()),
+            Msg::Query("q = SELECT X WHERE X:<a/>".into()),
+            Msg::Query(String::new()),
+            Msg::Answer("<r><a>1</a></r>".into()),
+            Msg::Err {
+                kind: "dtd-invalid".into(),
+                msg: "line 1\nline 2".into(),
+            },
+            Msg::Stats("{}".into()),
+            Msg::Throttled {
+                retry_after_ms: 250,
+            },
+        ];
+        let eof = |r: Result<(), NetError>| match r {
+            Err(NetError::Io(e)) => e.kind() == std::io::ErrorKind::UnexpectedEof,
+            _ => false,
+        };
+        for m in msgs {
+            let mut frame = Vec::new();
+            m.write_to(&mut frame, 7).unwrap();
+            assert!(decode_all_ways(&frame), "{m:?} does not decode whole");
+            assert_eq!(
+                Msg::read_from(&mut Cursor::new(&frame)).unwrap(),
+                (7, m.clone())
+            );
+            for cut in 0..frame.len() {
+                let prefix = &frame[..cut];
+                assert!(!decode_all_ways(prefix), "{m:?} cut at {cut} decoded");
+                assert!(eof(read_frame(&mut Cursor::new(prefix)).map(drop)));
+                assert!(eof(read_first_frame(&mut Cursor::new(prefix)).map(drop)));
+                assert!(eof(Msg::read_from(&mut Cursor::new(prefix)).map(drop)));
+            }
+        }
+    }
+
     #[test]
     fn decode_header_matches_encode_header() {
         let raw = encode_header(MsgType::Stats, 42, 17);

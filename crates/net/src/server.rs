@@ -1,7 +1,7 @@
 //! The server side: a readiness-driven reactor exporting one
 //! [`WireService`].
 //!
-//! One event-loop thread owns every socket (see [`crate::reactor`]); a
+//! One event-loop thread owns every socket (the private `reactor` module); a
 //! small worker pool answers queries. Connections are cheap — a parked
 //! connection is an fd and two ring buffers, not a thread — and every
 //! frame carries its own id, so one connection can have many queries in

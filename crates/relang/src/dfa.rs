@@ -3,11 +3,11 @@
 //! tightness metrics.
 //!
 //! [`Dfa::minimize`] is Hopcroft's O(n·|Σ|·log n) partition refinement
-//! with the smaller-half rule; the seed implementation's Moore refinement
-//! survives as [`Dfa::minimize_moore`] and serves both as the
-//! boxed-baseline path in [`crate::memo`] and as a cross-check oracle in
-//! the property tests (both produce *the* minimal DFA, so state counts
-//! must agree exactly).
+//! with the smaller-half rule, and the only minimization production code
+//! runs. The seed implementation's Moore refinement survives as
+//! [`Dfa::minimize_moore`], a test oracle only: the property tests and the
+//! X18 bench cross-check Hopcroft against it (both produce *the* minimal
+//! DFA, so state counts must agree exactly).
 
 use crate::ast::Regex;
 use crate::nfa::Nfa;
@@ -497,9 +497,9 @@ impl Dfa {
     }
 
     /// The seed implementation's Moore partition-refinement minimization
-    /// (also prunes unreachable states). Kept as the boxed-baseline path
-    /// for [`crate::memo`] and as a cross-check oracle against
-    /// [`Dfa::minimize`] — both yield the unique minimal DFA.
+    /// (also prunes unreachable states). A test oracle only, kept to
+    /// cross-check [`Dfa::minimize`] — both yield the unique minimal DFA;
+    /// production code minimizes with Hopcroft.
     pub fn minimize_moore(&self) -> Dfa {
         let asz = self.alphabet.len();
         // 1. restrict to reachable states

@@ -51,8 +51,8 @@ pub use ops::{
 };
 pub use parser::{parse_regex, ParseError};
 pub use pool::{
-    boxed_baseline, export_arena, import_arena, intern, pool_stats, set_boxed_baseline, to_regex,
-    ImportedArena, PoolStats, PortableEntry, PortableNode, ReId, ReNode,
+    export_arena, import_arena, intern, pool_stats, to_regex, ImportedArena, PoolStats,
+    PortableEntry, PortableNode, ReId, ReNode,
 };
 pub use sample::{sample_word, SampleConfig};
 pub use simplify::{simplify, simplify_id};

@@ -23,8 +23,14 @@
 //! `debug_assert!`s equivalence with the input.
 
 use crate::ast::Regex;
-use crate::ops::{equivalent, is_subset, is_subset_id};
+#[cfg(test)]
+use crate::ops::is_subset;
+use crate::ops::{equivalent, is_subset_id};
 use crate::pool::{self, ReId, ReNode};
+
+// The boxed rewrite functions below (`pass` and its helpers) are the
+// reference implementation the id-level twins further down mirror; only
+// the tests run them, as the oracle for byte identity.
 
 /// Size bound above which the (automata-based) subsumption rule is skipped.
 const SUBSUMPTION_SIZE_LIMIT: usize = 512;
@@ -40,6 +46,7 @@ struct Count {
 }
 
 /// The base and count of a single concat factor.
+#[cfg(test)]
 fn factor_base(r: &Regex) -> (&Regex, Count) {
     match r {
         Regex::Star(b) => (b, Count { min: 0, max: None }),
@@ -61,6 +68,7 @@ fn factor_base(r: &Regex) -> (&Regex, Count) {
     }
 }
 
+#[cfg(test)]
 fn render_counted(base: &Regex, c: Count) -> Regex {
     let mut parts: Vec<Regex> = Vec::new();
     for _ in 0..c.min {
@@ -86,6 +94,7 @@ fn render_counted(base: &Regex, c: Count) -> Regex {
 }
 
 /// Collapses runs of same-base factors inside a (already simplified) concat.
+#[cfg(test)]
 fn collapse_concat(parts: Vec<Regex>) -> Regex {
     let mut out: Vec<Regex> = Vec::new();
     let mut run: Option<(Regex, Count)> = None;
@@ -114,6 +123,7 @@ fn collapse_concat(parts: Vec<Regex>) -> Regex {
     Regex::concat(out)
 }
 
+#[cfg(test)]
 fn as_factors(r: &Regex) -> Vec<Regex> {
     match r {
         Regex::Concat(v) => v.clone(),
@@ -124,6 +134,7 @@ fn as_factors(r: &Regex) -> Vec<Regex> {
 
 /// Factors the longest common prefix and suffix out of a union's branches
 /// when *all* branches share them. `(a,b)|(a,c) → a,(b|c)`.
+#[cfg(test)]
 fn factor_union(branches: &[Regex]) -> Option<Regex> {
     if branches.len() < 2 {
         return None;
@@ -156,6 +167,7 @@ fn factor_union(branches: &[Regex]) -> Option<Regex> {
 }
 
 /// Drops union branches whose language is included in another branch.
+#[cfg(test)]
 fn subsume_union(branches: Vec<Regex>) -> Vec<Regex> {
     let total: usize = branches.iter().map(Regex::size).sum();
     if total > SUBSUMPTION_SIZE_LIMIT {
@@ -182,6 +194,7 @@ fn subsume_union(branches: Vec<Regex>) -> Vec<Regex> {
     }
 }
 
+#[cfg(test)]
 fn pass(r: &Regex) -> Regex {
     match r {
         Regex::Empty | Regex::Epsilon | Regex::Sym(_) => r.clone(),
@@ -224,7 +237,7 @@ fn pass(r: &Regex) -> Regex {
 // twin of the boxed function above with structural equality replaced by
 // id equality and cached attributes (size, nullability) replacing
 // recomputation, so `to_regex(simplify_id(intern(r)))` is byte-identical
-// to the boxed `simplify(r)`.
+// to the boxed `pass` iterated to its fixpoint.
 // ---------------------------------------------------------------------
 
 fn factor_base_id(r: ReId) -> (ReId, Count) {
@@ -416,19 +429,7 @@ pub fn simplify_id(r: ReId) -> ReId {
 
 /// Simplifies `r` to a language-equivalent, usually smaller regex.
 pub fn simplify(r: &Regex) -> Regex {
-    let cur = if pool::boxed_baseline() {
-        let mut cur = r.clone();
-        for _ in 0..MAX_PASSES {
-            let next = pass(&cur);
-            if next == cur {
-                break;
-            }
-            cur = next;
-        }
-        cur
-    } else {
-        pool::to_regex(simplify_id(pool::intern(r)))
-    };
+    let cur = pool::to_regex(simplify_id(pool::intern(r)));
     debug_assert!(
         equivalent(r, &cur),
         "simplify changed the language of {r} into {cur}"
@@ -522,11 +523,15 @@ mod tests {
             let boxed = pass(&r);
             let interned = crate::pool::to_regex(pass_id(crate::pool::intern(&r)));
             assert_eq!(interned, boxed, "pass mismatch on {src}");
-            assert_eq!(
-                crate::pool::to_regex(simplify_id(crate::pool::intern(&r))),
-                simplify(&r),
-                "simplify mismatch on {src}"
-            );
+            let mut fixpoint = r.clone();
+            for _ in 0..MAX_PASSES {
+                let next = pass(&fixpoint);
+                if next == fixpoint {
+                    break;
+                }
+                fixpoint = next;
+            }
+            assert_eq!(simplify(&r), fixpoint, "simplify mismatch on {src}");
         }
     }
 

@@ -16,7 +16,7 @@
 //! A store directory holds numbered **generation snapshots**
 //! (`gen-NNNNNNNN.snap`) and one **write-behind log** (`wal.log`). Both
 //! are the same format: an 8-byte magic, then length-prefixed,
-//! FNV-1a-checksummed records ([`codec`]). Snapshots carry the pool
+//! FNV-1a-checksummed records (the private `codec` module). Snapshots carry the pool
 //! arena, the inclusion batch, and every cache entry; the wal carries
 //! only the view entries appended as misses happen, so even a
 //! `SIGKILL`ed daemon warm-starts its inference cache.

@@ -13,7 +13,7 @@
 use mix::dtd::paper::{d11_department, d1_department, d9_professor, section_recursive};
 use mix::prelude::*;
 use mix::xmas::paper::{q12_papers, q2_with_journals, q3_publist, q6_answer, q7_answer};
-use mix_bench::{chain_workload, wide_chain_workload};
+use mix_bench::{chain_workload, deep_section_query, wide_chain_workload};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -81,8 +81,7 @@ fn corpus() -> Vec<(&'static str, Dtd, Query)> {
     cases.push((
         "x18-section-recursive-depth4",
         section_recursive(),
-        parse_query("deep = SELECT P WHERE <section> <section> <section> P:<section/> </> </> </>")
-            .unwrap(),
+        deep_section_query(),
     ));
     let (chain_dtd, chain_q) = chain_workload(12);
     cases.push(("x18-chain-depth12", chain_dtd, chain_q));
